@@ -1,10 +1,18 @@
-// Stackful fibers (cooperative user-level contexts) built on POSIX ucontext.
+// Stackful fibers (cooperative user-level contexts).
 //
 // SystemC SC_THREAD processes may call wait() arbitrarily deep inside nested
 // function calls — e.g. the DRCF suspends an interface-method call made from
 // another module's thread while a context switch is in flight (paper
 // Sec. 5.3 step 4). That requires a full switchable stack per process, which
 // stackless C++20 coroutines cannot provide without rewriting every callee.
+//
+// On x86-64 a switch is a hand-written assembly routine that saves the
+// callee-saved registers plus the MXCSR and x87 control word and swaps stack
+// pointers — no system call, so a resume/yield round trip costs tens of
+// nanoseconds. Other architectures fall back to POSIX ucontext, whose
+// swapcontext() also saves the signal mask with a system call. Each fiber
+// keeps its own floating-point rounding and exception masks; a new fiber
+// starts with those of the thread that created it.
 #pragma once
 
 #include <cstddef>
@@ -38,11 +46,12 @@ class Fiber {
 
  private:
   struct Impl;
-  static void trampoline();
+  /// First code to run on the fiber's stack: runs fn_, then switches back
+  /// for good.
+  static void trampoline(Fiber* self);
 
   std::unique_ptr<Impl> impl_;
   std::function<void()> fn_;
-  bool started_ = false;
   bool finished_ = false;
 };
 

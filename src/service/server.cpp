@@ -17,6 +17,12 @@ namespace adriatic::service {
 
 using campaign::JobStats;
 
+namespace {
+/// How long stop() waits for RESULT frames still being written before it
+/// shuts the connections down anyway.
+constexpr std::chrono::seconds kDeliveryGrace{5};
+}  // namespace
+
 CampaignServer::CampaignServer(ServerOptions opt) : opt_(std::move(opt)) {
   kinds_ = builtin_kinds();
 }
@@ -238,9 +244,8 @@ void CampaignServer::handle_request(const std::shared_ptr<Connection>& conn,
     case Verb::kDrain: {
       {
         std::unique_lock<std::mutex> lk(mu_);
-        cv_drain_.wait(lk, [this] {
-          return pending_.empty() || shutting_down_.load();
-        });
+        cv_drain_.wait(
+            lk, [this] { return all_delivered() || shutting_down_.load(); });
       }
       send_frame(conn, encode_drained(req.id));
       return;
@@ -274,6 +279,13 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     return;
   }
 
+  // OK must reach the client before any RESULT for the same request. The
+  // completion hook pushes RESULTs under this connection's write lock, so
+  // holding it from the dedup decision until OK is written keeps an attached
+  // job that finishes meanwhile from overtaking the OK; a fresh job is
+  // handed to the runner only once its OK is out. (Lock order: write_mu
+  // before mu_; nothing takes write_mu while holding mu_.)
+  std::unique_lock<std::mutex> wlk(conn->write_mu);
   std::optional<JobStats> served;
   usize index = 0;
   bool fresh = false;
@@ -281,6 +293,7 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     std::unique_lock<std::mutex> lk(mu_);
     if (shutting_down_.load()) {
       lk.unlock();
+      wlk.unlock();
       send_error(conn, req.id, ErrorCode::kShutdown,
                  "server is stopping; job not accepted");
       return;
@@ -309,9 +322,6 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
       pending_[index].subscribers.push_back({conn, req.id});
       ++counters_.dedup_hits;
       if (journal_ != nullptr) journal_->record_cache_hit(req.spec);
-      lk.unlock();
-      send_frame(conn, encode_ok(req.id, static_cast<u64>(index), true));
-      return;
     } else {
       fresh = true;
       index = next_index_++;
@@ -322,13 +332,16 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
     }
   }
 
+  write_frame_locked(*conn,
+                     encode_ok(req.id, static_cast<u64>(index), !fresh));
   if (served.has_value()) {
-    // Cache hit: OK + RESULT immediately, no worker involved.
-    send_frame(conn, encode_ok(req.id, static_cast<u64>(index), true));
-    send_frame(conn, encode_result(req.id, req.spec, *served));
+    // Cache hit: RESULT right behind the OK, no worker involved.
+    write_frame_locked(*conn, encode_result(req.id, req.spec, *served));
+    wlk.unlock();
     broadcast_result(req.spec, *served, conn.get());
     return;
   }
+  wlk.unlock();
   if (fresh) {
     campaign::JobOptions o;
     o.stats_index = index;
@@ -343,7 +356,6 @@ void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
                           [body = std::move(*body)](campaign::JobContext& ctx) {
                             body(ctx);
                           });
-    send_frame(conn, encode_ok(req.id, static_cast<u64>(index), false));
   }
 }
 
@@ -367,7 +379,7 @@ void CampaignServer::on_job_complete(const JobStats& stats) {
     }
     // store() itself refuses unfinished/failed/quarantined records.
     if (cache_ != nullptr) cache_->store(spec, stats);
-    if (pending_.empty()) cv_drain_.notify_all();
+    ++delivering_;
   }
   const Connection* first = nullptr;
   for (const auto& sub : subs) {
@@ -375,13 +387,21 @@ void CampaignServer::on_job_complete(const JobStats& stats) {
     if (first == nullptr) first = sub.conn.get();
   }
   broadcast_result(spec, stats, first);
+  std::lock_guard<std::mutex> lk(mu_);
+  --delivering_;
+  if (all_delivered()) cv_drain_.notify_all();
 }
 
 void CampaignServer::send_frame(const std::shared_ptr<Connection>& conn,
                                 const std::string& frame) {
   std::lock_guard<std::mutex> lk(conn->write_mu);
-  if (!conn->open.load() || conn->fd < 0) return;
-  if (!write_all(conn->fd, frame)) conn->open.store(false);
+  write_frame_locked(*conn, frame);
+}
+
+void CampaignServer::write_frame_locked(Connection& conn,
+                                        const std::string& frame) {
+  if (!conn.open.load() || conn.fd < 0) return;
+  if (!write_all(conn.fd, frame)) conn.open.store(false);
 }
 
 void CampaignServer::send_error(const std::shared_ptr<Connection>& conn,
@@ -422,7 +442,15 @@ void CampaignServer::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   // Drain while connections are still up, so in-flight results (including
   // signal-stop "interrupted" quarantines) stream out to their clients.
+  // wait_idle() returns once the last record is committed, which is before
+  // the completion hook has written its RESULT frames, so wait for those
+  // too. The wait is bounded: a client that stopped reading can block a
+  // write until its connection is shut down below.
   if (runner_ != nullptr) runner_->wait_idle();
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_drain_.wait_for(lk, kDeliveryGrace, [this] { return all_delivered(); });
+  }
   if (journal_ != nullptr) journal_->flush();
   {
     std::lock_guard<std::mutex> lk(cmu_);

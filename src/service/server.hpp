@@ -133,10 +133,16 @@ class CampaignServer {
   /// Runner completion hook (worker thread): cache the record, stream
   /// RESULT frames to the submitters and watchers, retire the pending slot.
   void on_job_complete(const campaign::JobStats& stats);
+  /// Every accepted job's RESULT frames written (mu_ held).
+  [[nodiscard]] bool all_delivered() const {
+    return pending_.empty() && delivering_ == 0;
+  }
   /// Sends one frame under the connection's write lock; a failed write
   /// marks the connection closed (the reader notices on its next read).
   void send_frame(const std::shared_ptr<Connection>& conn,
                   const std::string& frame);
+  /// send_frame() for a caller that already holds conn.write_mu.
+  static void write_frame_locked(Connection& conn, const std::string& frame);
   void send_error(const std::shared_ptr<Connection>& conn, u64 id,
                   ErrorCode code, const std::string& detail);
   /// RESULT to every WATCHing connection (submitters excluded — they get
@@ -162,6 +168,9 @@ class CampaignServer {
   usize next_index_ = 0;
   std::map<usize, PendingJob> pending_;      ///< In-flight, by index.
   std::map<u64, usize> pending_by_spec_;     ///< Spec -> in-flight index.
+  /// Completions taken out of pending_ whose RESULT frames are still being
+  /// written; DRAIN and stop() wait for these too.
+  usize delivering_ = 0;
   std::map<u64, campaign::JobStats> finished_by_spec_;  ///< Session dedup.
   ServerCounters counters_;
 

@@ -7,6 +7,9 @@
 //  * repeats dedup: a second client re-submitting a finished grid gets every
 //    result from_cache without touching a worker;
 //  * concurrent clients and a WATCH subscriber never see a torn frame;
+//  * OK always reaches a client before the RESULT for the same request,
+//    whether the job runs fresh or attaches to one in flight, and DRAINED
+//    only after every RESULT;
 //  * SIGTERM mid-sweep: serve() returns 130, finished jobs are journaled
 //    done, interrupted ones quarantined, and a resumed server serves the
 //    finished prefix from its journal/cache without re-simulating.
@@ -17,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -209,6 +213,73 @@ TEST(ServiceTest, ConcurrentClientsAndWatcherSeeCleanFrames) {
   for (const u64 seed : seeds)
     EXPECT_TRUE(watched_specs.count(service::golden_spec_hash(seed)) > 0)
         << "seed " << seed;
+}
+
+TEST(ServiceTest, OkPrecedesResultAndDrainedFollowsEveryResult) {
+  service::ServerOptions opt;
+  opt.socket_path = temp_path("svc_order", ".sock");
+  opt.threads = 2;
+  LiveServer live(opt);
+  // Jobs of this kind finish the moment a worker picks them up, so each
+  // RESULT races the reader thread's OK as closely as the server allows.
+  live.server.register_kind(
+      "noop", [](const std::string&, const service::ParamMap&) {
+        return std::optional<service::JobBody>([](campaign::JobContext&) {});
+      });
+  ASSERT_TRUE(live.server.start());
+
+  auto client = service::ServiceClient::connect(opt.socket_path);
+  ASSERT_NE(client, nullptr);
+  // Each spec goes out three times back to back: the first runs fresh, the
+  // repeats attach to it while in flight or hit the finished map. A DRAIN
+  // follows the last submit; its DRAINED must come after every RESULT.
+  constexpr u64 kSpecs = 200;
+  constexpr u64 kCopies = 3;
+  constexpr u64 kRequests = kSpecs * kCopies;
+  std::thread sender([&] {
+    u64 id = 0;
+    for (u64 s = 0; s < kSpecs; ++s)
+      for (u64 c = 0; c < kCopies; ++c)
+        client->submit(++id, 0x5eed0000 + s, "noop",
+                       "noop" + std::to_string(s), {});
+    client->drain(++id);
+  });
+
+  std::set<u64> ok_ids;
+  std::set<u64> result_ids;
+  std::vector<u64> result_before_ok;
+  std::optional<usize> results_at_drained;
+  std::string failure;
+  while (!results_at_drained.has_value() && failure.empty()) {
+    const auto resp = client->next_response();
+    if (!resp.has_value()) {
+      failure = "connection ended early";
+    } else if (resp->type == service::ResponseType::kDrained) {
+      results_at_drained = result_ids.size();
+    } else if (resp->type == service::ResponseType::kOk) {
+      if (!ok_ids.insert(resp->id).second)
+        failure = "second OK for id " + std::to_string(resp->id);
+    } else if (resp->type == service::ResponseType::kResult) {
+      if (ok_ids.count(resp->id) == 0) result_before_ok.push_back(resp->id);
+      if (!result_ids.insert(resp->id).second)
+        failure = "second RESULT for id " + std::to_string(resp->id);
+      EXPECT_TRUE(resp->stats.done) << resp->stats.label;
+    } else {
+      failure = "unexpected response: " + resp->detail;
+    }
+  }
+  sender.join();
+  ASSERT_TRUE(failure.empty()) << failure;
+  EXPECT_TRUE(result_before_ok.empty())
+      << result_before_ok.size() << " RESULT frame(s) overtook their OK, "
+      << "first for id " << result_before_ok.front();
+  EXPECT_EQ(ok_ids.size(), kRequests);
+  EXPECT_EQ(*results_at_drained, kRequests);
+
+  const service::ServerCounters c = live.server.counters();
+  EXPECT_EQ(c.requests, kRequests);
+  EXPECT_EQ(c.jobs_done, kSpecs);
+  EXPECT_EQ(c.dedup_hits, kRequests - kSpecs);
 }
 
 TEST(ServiceTest, SigtermJournalsInterruptedAndResumeServesFinishedPrefix) {
