@@ -1,6 +1,7 @@
 #include "campaign/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -76,6 +77,23 @@ std::optional<std::string> strip_checksum(const std::string& line) {
   return content;
 }
 
+bool write_all(int fd, const std::string& data) {
+  usize off = 0;
+  while (off < data.size()) {
+    // Plain write() is the fallback for everything that is not a socket.
+    ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK)
+      n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<usize>(n);
+  }
+  return true;
+}
+
 u64 spec_hash(const std::string& label, u64 param_digest) {
   u64 h = fnv1a(label);
   for (u32 shift = 0; shift < 64; shift += 8) {
@@ -85,62 +103,93 @@ u64 spec_hash(const std::string& label, u64 param_digest) {
   return h;
 }
 
-std::unique_ptr<CampaignJournal> CampaignJournal::create(
-    const std::string& path, const std::string& campaign) {
+std::unique_ptr<AppendLog> AppendLog::create(const std::string& path,
+                                             const std::string& header) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    log::error() << "campaign journal: cannot create " << path;
+    log::error() << "append log: cannot create " << path;
     return nullptr;
   }
-  auto journal =
-      std::unique_ptr<CampaignJournal>(new CampaignJournal(fd, path));
-  journal->append_line(std::string(kHeaderMagic) +
-                       " name=" + encode_field(campaign));
-  return journal;
+  auto log = std::unique_ptr<AppendLog>(new AppendLog(fd, path));
+  if (!log->append(header)) return nullptr;
+  return log;
 }
 
-std::unique_ptr<CampaignJournal> CampaignJournal::append_to(
-    const std::string& path) {
+std::unique_ptr<AppendLog> AppendLog::append_to(const std::string& path) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd < 0) {
-    log::error() << "campaign journal: cannot open " << path;
+    log::error() << "append log: cannot open " << path;
     return nullptr;
   }
-  return std::unique_ptr<CampaignJournal>(new CampaignJournal(fd, path));
+  return std::unique_ptr<AppendLog>(new AppendLog(fd, path));
 }
 
-CampaignJournal::~CampaignJournal() {
+AppendLog::~AppendLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void CampaignJournal::append_line(const std::string& content) {
+bool AppendLog::append(const std::string& content) {
   const std::string line = content + checksum_suffix(content) + "\n";
   std::lock_guard<std::mutex> lk(mu_);
-  usize off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      log::error() << "campaign journal: write failed on " << path_;
-      return;
-    }
-    off += static_cast<usize>(n);
+  if (!write_all(fd_, line)) {
+    log::error() << "append log: write failed on " << path_;
+    return false;
   }
   // The write-ahead guarantee: a record is on disk before the campaign acts
   // on it, so SIGKILL can lose at most the in-flight line (whose torn tail
   // the checksum rejects on read).
   ::fsync(fd_);
+  return true;
+}
+
+void AppendLog::flush() {
+  std::lock_guard<std::mutex> lk(mu_);
+  ::fsync(fd_);
+}
+
+std::optional<usize> read_log(
+    const std::string& path,
+    const std::function<bool(const std::string& content)>& visit) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  usize torn = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const auto content = strip_checksum(line);
+    if (!content.has_value()) {
+      ++torn;
+    } else if (!visit(*content)) {
+      break;
+    }
+  }
+  return torn;
+}
+
+std::unique_ptr<CampaignJournal> CampaignJournal::create(
+    const std::string& path, const std::string& campaign) {
+  auto log = AppendLog::create(
+      path, std::string(kHeaderMagic) + " name=" + encode_field(campaign));
+  if (log == nullptr) return nullptr;
+  return std::make_unique<CampaignJournal>(std::move(log));
+}
+
+std::unique_ptr<CampaignJournal> CampaignJournal::append_to(
+    const std::string& path) {
+  auto log = AppendLog::append_to(path);
+  if (log == nullptr) return nullptr;
+  return std::make_unique<CampaignJournal>(std::move(log));
 }
 
 void CampaignJournal::record_planned(usize index, u64 spec,
                                      const std::string& label) {
-  append_line(strfmt("P %zu %016llx ", index,
+  log_->append(strfmt("P %zu %016llx ", index,
                      static_cast<unsigned long long>(spec)) +
               encode_field(label));
 }
 
 void CampaignJournal::record_begun(usize index, u32 attempt) {
-  append_line(strfmt("B %zu %u", index, attempt));
+  log_->append(strfmt("B %zu %u", index, attempt));
 }
 
 std::string encode_job_stats(const JobStats& s) {
@@ -249,46 +298,31 @@ JobStats decode_job_stats(const std::string& tail) {
 }
 
 void CampaignJournal::record_done(const JobStats& s) {
-  append_line(strfmt("D %zu ", s.index) + encode_job_stats(s));
+  log_->append(strfmt("D %zu ", s.index) + encode_job_stats(s));
 }
 
 void CampaignJournal::record_worker_death(usize index,
                                           const std::string& reason) {
-  append_line(strfmt("X %zu ", index) + encode_field(reason));
-}
-
-void CampaignJournal::record_cache_hit(u64 spec) {
-  append_line(strfmt("C %016llx", static_cast<unsigned long long>(spec)));
-}
-
-void CampaignJournal::flush() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ::fsync(fd_);
+  log_->append(strfmt("X %zu ", index) + encode_field(reason));
 }
 
 std::optional<JournalState> read_journal(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
   JournalState state;
-  std::string line;
   bool have_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto content = strip_checksum(line);
-    if (!content.has_value()) {
-      ++state.torn_lines;
-      continue;
-    }
-    const std::vector<std::string> tok = split(*content, ' ');
+  bool bad_header = false;
+  const auto torn = read_log(path, [&](const std::string& content) {
+    const std::vector<std::string> tok = split(content, ' ');
     if (!have_header) {
       // The header must be the first intact line.
       if (tok.size() < 4 || tok[0] != "J" ||
-          !starts_with(*content, kHeaderMagic) ||
-          !starts_with(tok[3], "name="))
-        return std::nullopt;
+          !starts_with(content, kHeaderMagic) ||
+          !starts_with(tok[3], "name=")) {
+        bad_header = true;
+        return false;
+      }
       state.campaign = decode_field(tok[3].substr(5));
       have_header = true;
-      continue;
+      return true;
     }
     if (tok[0] == "P" && tok.size() >= 4) {
       JournalState::Planned p;
@@ -300,11 +334,11 @@ std::optional<JournalState> read_journal(const std::string& path) {
     } else if (tok[0] == "D" && tok.size() >= 2) {
       // The tail (everything after "D <index> ") round-trips through the
       // shared codec, the same one the worker pipe and result cache use.
-      usize tail_at = content->find(' ');
+      usize tail_at = content.find(' ');
       if (tail_at != std::string::npos)
-        tail_at = content->find(' ', tail_at + 1);
+        tail_at = content.find(' ', tail_at + 1);
       JobStats s = decode_job_stats(
-          tail_at == std::string::npos ? "" : content->substr(tail_at + 1));
+          tail_at == std::string::npos ? "" : content.substr(tail_at + 1));
       s.index = static_cast<usize>(parse_u64(tok[1]));
       // Last record per index wins; only done results count as completed —
       // a quarantined/interrupted D leaves the job eligible for re-run.
@@ -316,11 +350,11 @@ std::optional<JournalState> read_journal(const std::string& path) {
     } else if (tok[0] == "X" && tok.size() >= 3) {
       state.worker_deaths.push_back(
           {static_cast<usize>(parse_u64(tok[1])), decode_field(tok[2])});
-    } else if (tok[0] == "C" && tok.size() >= 2) {
-      state.cache_hits.push_back(parse_u64(tok[1], 16));
     }
-  }
-  if (!have_header) return std::nullopt;
+    return true;
+  });
+  if (!torn.has_value() || bad_header || !have_header) return std::nullopt;
+  state.torn_lines = *torn;
   return state;
 }
 

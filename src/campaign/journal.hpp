@@ -14,12 +14,14 @@
 //   D <index> key=value ...                 -- result (full JobStats)
 //   X <index> <reason>                      -- worker child died (process
 //                                              mode: crash/timeout kill)
-//   C <spec_hash_hex>                       -- job served from result cache
 // Every line ends with ` cks=<fnv1a_hex>` over the preceding content. The
 // last D record per index wins; a D with done=0 (quarantined/interrupted)
-// leaves the job eligible for re-run.
+// leaves the job eligible for re-run. Journals written before the cache-hit
+// record was dropped may still hold `C <spec_hash_hex>` lines; read_journal()
+// skips them like any other unknown record.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,6 +56,12 @@ namespace adriatic::campaign {
 /// Splits "content cks=hex" and verifies; nullopt on mismatch (torn line).
 [[nodiscard]] std::optional<std::string> strip_checksum(
     const std::string& line);
+/// write()s all of `data` to a file, pipe or socket, retrying on EINTR and
+/// short writes; false on a hard error (EPIPE, closed fd). One call per
+/// record or frame keeps it whole under the caller's lock. Sockets are
+/// written with MSG_NOSIGNAL: a vanished peer is a failed write, not a
+/// process-killing SIGPIPE.
+bool write_all(int fd, const std::string& data);
 /// Serialises every populated JobStats field as the `key=value ...` tail of
 /// a D record (everything after "D <index>"). Field order is fixed and
 /// optional blocks are emitted only when their has_* flag (or a non-default
@@ -64,6 +72,45 @@ namespace adriatic::campaign {
 /// of the tail — callers carry it beside the payload.
 [[nodiscard]] JobStats decode_job_stats(const std::string& tail);
 
+/// The one append-only, checksummed line log under the journal and the
+/// result cache: every append is a single `content cks=<fnv1a_hex>\n`
+/// write (EINTR-safe), fsync'd before it returns, so a crash loses at most
+/// the line in flight, whose torn tail read_log() rejects.
+class AppendLog {
+ public:
+  /// Creates (truncates) `path` and appends `header`. Null on I/O error.
+  static std::unique_ptr<AppendLog> create(const std::string& path,
+                                           const std::string& header);
+  /// Opens an existing log for appending. Null on I/O error.
+  static std::unique_ptr<AppendLog> append_to(const std::string& path);
+  ~AppendLog();
+
+  AppendLog(const AppendLog&) = delete;
+  AppendLog& operator=(const AppendLog&) = delete;
+
+  /// Appends `content` + checksum + newline, then fsyncs. False (with a log
+  /// line) when the write fails.
+  bool append(const std::string& content);
+  /// fsync barrier (appends already sync; this is for explicit barriers,
+  /// e.g. before a graceful signal-stop exit).
+  void flush();
+
+ private:
+  AppendLog(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+
+  std::mutex mu_;  ///< Serialises appends from worker threads.
+  int fd_ = -1;
+  std::string path_;
+};
+
+/// Reads a log in one pass: `visit` gets the content of every non-empty
+/// line whose checksum verifies, in file order, and may return false to
+/// stop early. Returns the number of lines that failed their checksum (torn
+/// writes, bit rot), or nullopt when the file cannot be opened.
+std::optional<usize> read_log(
+    const std::string& path,
+    const std::function<bool(const std::string& content)>& visit);
+
 class CampaignJournal {
  public:
   /// Creates (truncates) `path` and writes the header. Null on I/O error.
@@ -71,10 +118,6 @@ class CampaignJournal {
                                                  const std::string& campaign);
   /// Opens an existing journal for appending (resume). Null on I/O error.
   static std::unique_ptr<CampaignJournal> append_to(const std::string& path);
-  ~CampaignJournal();
-
-  CampaignJournal(const CampaignJournal&) = delete;
-  CampaignJournal& operator=(const CampaignJournal&) = delete;
 
   void record_planned(usize index, u64 spec, const std::string& label);
   void record_begun(usize index, u32 attempt);
@@ -82,22 +125,13 @@ class CampaignJournal {
   /// Process mode: a forked worker child died without a result (crash,
   /// timeout kill, heartbeat kill); `reason` is WorkerFailure::reason().
   void record_worker_death(usize index, const std::string& reason);
-  /// The job keyed by `spec` was served from the result cache.
-  void record_cache_hit(u64 spec);
-  /// fsync the journal fd (appends already sync per record; this is for
-  /// explicit barriers, e.g. before a graceful signal-stop exit).
-  void flush();
+  void flush() { log_->flush(); }
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  explicit CampaignJournal(std::unique_ptr<AppendLog> log)
+      : log_(std::move(log)) {}
 
  private:
-  CampaignJournal(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
-  /// Appends `content` + checksum + newline, then fsyncs.
-  void append_line(const std::string& content);
-
-  std::mutex mu_;  ///< Serialises worker-thread appends.
-  int fd_ = -1;
-  std::string path_;
+  std::unique_ptr<AppendLog> log_;
 };
 
 /// Everything a resume needs from a journal read-back.
@@ -117,7 +151,6 @@ struct JournalState {
     std::string reason;
   };
   std::vector<WorkerDeath> worker_deaths;  ///< X lines, in journal order.
-  std::vector<u64> cache_hits;             ///< C lines (spec hashes).
 };
 
 /// Reads a journal back; nullopt when the file is missing or its header is

@@ -1,12 +1,6 @@
 #include "campaign/result_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "campaign/journal.hpp"
 #include "util/log.hpp"
@@ -22,96 +16,60 @@ constexpr char kEntryVersion[] = "v1";
 }  // namespace
 
 std::unique_ptr<ResultCache> ResultCache::open(const std::string& path) {
-  std::string text;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      text = ss.str();
-    }
-  }
-
+  // One read, one pass: the header is checked on the first line and every
+  // later line is parsed as it streams by.
+  std::map<u64, std::string> entries;
+  usize dropped = 0;
   bool header_ok = false;
-  if (!text.empty()) {
-    const usize eol = text.find('\n');
-    const std::string first = text.substr(0, eol);
-    const auto content = strip_checksum(first);
-    header_ok = content.has_value() && *content == kCacheHeader;
-  }
+  bool first = true;
+  const auto torn = read_log(path, [&](const std::string& content) {
+    if (first) {
+      first = false;
+      header_ok = content == kCacheHeader;
+      return header_ok;
+    }
+    // E <spec_hex> v1 <tail...>
+    const std::vector<std::string> tok = split(content, ' ');
+    // Unparseable lines and stale entry versions are dropped: never decode
+    // across entry versions.
+    if (tok.size() < 4 || tok[0] != "E" || tok[2] != kEntryVersion) {
+      ++dropped;
+      return true;
+    }
+    usize tail_at = content.find(' ');
+    for (int skip = 0; skip < 2 && tail_at != std::string::npos; ++skip)
+      tail_at = content.find(' ', tail_at + 1);
+    if (tail_at == std::string::npos) {
+      ++dropped;
+      return true;
+    }
+    const u64 spec = std::strtoull(tok[1].c_str(), nullptr, 16);
+    entries[spec] = content.substr(tail_at + 1);  // Last entry wins.
+    return true;
+  });
 
-  int fd = -1;
+  std::unique_ptr<AppendLog> log;
   if (header_ok) {
-    fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+    log = AppendLog::append_to(path);
   } else {
     // Missing or with an unreadable header: (re)create. A cache whose
     // header cannot be verified is worthless — every entry is suspect.
-    if (!text.empty())
+    if (torn.has_value() && (!first || *torn > 0))
       log::warn() << "result cache: resetting " << path
                   << " (unreadable header)";
-    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    text.clear();
+    log = AppendLog::create(path, kCacheHeader);
   }
-  if (fd < 0) {
+  if (log == nullptr) {
     log::error() << "result cache: cannot open " << path;
     return nullptr;
   }
-
-  auto cache = std::unique_ptr<ResultCache>(new ResultCache(fd, path));
+  auto cache = std::unique_ptr<ResultCache>(new ResultCache(std::move(log)));
   if (header_ok) {
-    cache->load(text);
-  } else {
-    const std::string line =
-        std::string(kCacheHeader) + checksum_suffix(kCacheHeader) + "\n";
-    if (::write(fd, line.data(), line.size()) !=
-        static_cast<ssize_t>(line.size())) {
-      log::error() << "result cache: cannot write header to " << path;
-      return nullptr;
-    }
-    ::fsync(fd);
+    cache->entries_ = std::move(entries);
+    // Torn tail writes or bit rot count as drops too — a miss, not a hazard.
+    cache->dropped_ = dropped + *torn;
   }
   return cache;
-}
-
-ResultCache::~ResultCache() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void ResultCache::load(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto content = strip_checksum(line);
-    if (first) {
-      first = false;
-      continue;  // Header already verified by open().
-    }
-    if (!content.has_value()) {
-      ++dropped_;  // Torn tail write or bit rot — a miss, not a hazard.
-      continue;
-    }
-    // E <spec_hex> v1 <tail...>
-    const std::vector<std::string> tok = split(*content, ' ');
-    if (tok.size() < 4 || tok[0] != "E") {
-      ++dropped_;
-      continue;
-    }
-    if (tok[2] != kEntryVersion) {
-      ++dropped_;  // Stale schema: never decode across entry versions.
-      continue;
-    }
-    usize tail_at = content->find(' ');
-    for (int skip = 0; skip < 2 && tail_at != std::string::npos; ++skip)
-      tail_at = content->find(' ', tail_at + 1);
-    if (tail_at == std::string::npos) {
-      ++dropped_;
-      continue;
-    }
-    const u64 spec = std::strtoull(tok[1].c_str(), nullptr, 16);
-    entries_[spec] = content->substr(tail_at + 1);  // Last entry wins.
-  }
 }
 
 std::optional<JobStats> ResultCache::lookup(u64 spec) const {
@@ -125,24 +83,12 @@ void ResultCache::store(u64 spec, const JobStats& stats) {
   if (!stats.done || stats.failed || stats.quarantined || stats.from_cache)
     return;
   const std::string tail = encode_job_stats(stats);
-  const std::string content =
-      strfmt("E %016llx %s ", static_cast<unsigned long long>(spec),
-             kEntryVersion) +
-      tail;
-  const std::string line = content + checksum_suffix(content) + "\n";
   std::lock_guard<std::mutex> lk(mu_);
-  usize off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      log::error() << "result cache: write failed on " << path_;
-      return;
-    }
-    off += static_cast<usize>(n);
-  }
-  ::fsync(fd_);
-  entries_[spec] = tail;
+  if (log_->append(strfmt("E %016llx %s ",
+                          static_cast<unsigned long long>(spec),
+                          kEntryVersion) +
+                   tail))
+    entries_[spec] = tail;
 }
 
 usize ResultCache::size() const {

@@ -1,13 +1,14 @@
 // Digest-keyed cross-run result cache: spec_hash -> serialized JobStats.
 //
-// A campaign tool opens the cache next to its journal, looks every planned
-// job up by its spec hash before submitting, and stores every cleanly
-// finished result after the sweep. A warm rerun of the same sweep then
+// A campaign session (service/session.hpp) opens the cache next to its
+// journal, looks every job up by its spec hash before simulating it, and
+// stores every cleanly finished result. A warm rerun of the same sweep then
 // re-simulates nothing — the cached JobStats (including the scheduler-trace
 // digest and the tool's user_data payload) is installed verbatim and
 // flagged from_cache so reports can surface cross-run dedup counts.
 //
-// File format (append-only, one fsync'd line per entry, torn-tolerant):
+// File format (an AppendLog: append-only, one fsync'd line per entry,
+// torn-tolerant):
 //   R adriatic-result-cache v1
 //   E <spec_hash_hex> v1 <encode_job_stats() tail>
 // Every line carries the journal's ` cks=<fnv1a_hex>` suffix. On load,
@@ -30,6 +31,7 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "campaign/journal.hpp"
 #include "util/types.hpp"
 
 namespace adriatic::campaign {
@@ -41,7 +43,6 @@ class ResultCache {
   /// cache, so a damaged file is discarded, not trusted. Existing entries
   /// are loaded eagerly. Null only on hard I/O errors (unwritable path).
   static std::unique_ptr<ResultCache> open(const std::string& path);
-  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -59,15 +60,13 @@ class ResultCache {
   /// Lines dropped on load: torn writes, checksum failures, stale entry
   /// versions.
   [[nodiscard]] usize dropped_lines() const noexcept { return dropped_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  ResultCache(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
-  void load(const std::string& text);
+  explicit ResultCache(std::unique_ptr<AppendLog> log)
+      : log_(std::move(log)) {}
 
   mutable std::mutex mu_;
-  int fd_ = -1;
-  std::string path_;
+  std::unique_ptr<AppendLog> log_;
   std::map<u64, std::string> entries_;  ///< spec -> encode_job_stats() tail.
   usize dropped_ = 0;
 };

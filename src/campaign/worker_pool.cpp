@@ -62,20 +62,6 @@ void put_u32_le(std::string& out, u32 v) {
   return v;
 }
 
-/// Full write with EINTR retry; false on hard error (parent gone).
-bool write_all(int fd, const char* data, usize n) {
-  usize off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<usize>(w);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string WorkerFailure::reason() const {
@@ -336,7 +322,7 @@ void ProcessWorkerPool::child_main(const ChildRequest& req, int write_fd) {
 
   const std::string frame =
       encode_frame(kFrameResult, encode_job_stats(local));
-  write_all(write_fd, frame.data(), frame.size());
+  write_all(write_fd, frame);
   ::close(write_fd);
   // _exit, not exit: atexit handlers and static destructors belong to the
   // parent image and must run exactly once, in the parent.

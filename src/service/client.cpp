@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "campaign/journal.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -75,7 +76,7 @@ bool ServiceClient::drain(u64 id) {
 
 bool ServiceClient::send_raw(const std::string& bytes) {
   if (fd_ < 0) return false;
-  return write_all(fd_, bytes);
+  return campaign::write_all(fd_, bytes);
 }
 
 std::optional<Response> ServiceClient::next_response() {
@@ -103,6 +104,29 @@ std::optional<Response> ServiceClient::next_response() {
     if (n == 0) return std::nullopt;  // server closed
     parser_.feed(buf, static_cast<usize>(n));
   }
+}
+
+void ServiceRunResult::add(const ServiceJob& job, campaign::JobStats s) {
+  s.index = job.index;
+  s.label = job.label;
+  if (s.from_cache) ++totals.dedup_hits;
+  if (s.quarantined && s.quarantine_reason == "interrupted") interrupted = true;
+  stats[job.index] = std::move(s);
+}
+
+std::vector<campaign::JobStats> ServiceRunResult::records(
+    const std::vector<ServiceJob>& jobs) const {
+  std::vector<campaign::JobStats> out(jobs.size());
+  for (usize i = 0; i < jobs.size(); ++i) {
+    const auto it = stats.find(jobs[i].index);
+    if (it != stats.end()) {
+      out[i] = it->second;
+    } else {
+      out[i].index = jobs[i].index;
+      out[i].label = jobs[i].label;
+    }
+  }
+  return out;
 }
 
 ServiceRunResult run_jobs_over_service(const std::string& socket_path,
@@ -142,14 +166,7 @@ ServiceRunResult run_jobs_over_service(const std::string& socket_path,
       case ResponseType::kResult: {
         const auto it = id_to_job.find(resp->id);
         if (it == id_to_job.end()) continue;  // watcher traffic etc.
-        const ServiceJob& job = jobs[it->second];
-        campaign::JobStats stats = resp->stats;
-        stats.index = job.index;
-        stats.label = job.label;
-        if (stats.from_cache) ++result.totals.dedup_hits;
-        if (stats.quarantined && stats.quarantine_reason == "interrupted")
-          result.interrupted = true;
-        result.stats[job.index] = std::move(stats);
+        result.add(jobs[it->second], resp->stats);
         --outstanding;
         break;
       }

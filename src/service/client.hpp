@@ -79,6 +79,17 @@ struct ServiceRunResult {
   campaign::ServiceTotals totals;
   bool interrupted = false;  ///< Some results came back quarantined
                              ///< "interrupted" (server was signal-stopped).
+  /// In-process runs only: the worker threads, and the jobs a resumed
+  /// journal restored without re-running them.
+  usize threads = 0;
+  usize restored = 0;
+
+  /// Files `stats` under `job`'s local index and label, counting it.
+  void add(const ServiceJob& job, campaign::JobStats stats);
+  /// One record per job, in order; a job without a result gets a
+  /// done == false placeholder.
+  [[nodiscard]] std::vector<campaign::JobStats> records(
+      const std::vector<ServiceJob>& jobs) const;
 };
 
 /// Submits every job over one connection and blocks until each has a RESULT

@@ -384,7 +384,10 @@ std::string pack_dse_outcome(const DseOutcome& out) {
 
 DseOutcome unpack_dse_outcome(const campaign::JobStats& stats) {
   DseOutcome out;
-  if (!stats.done || stats.failed || stats.user_data.empty()) return out;
+  if (!stats.done || stats.failed || stats.user_data.empty()) {
+    out.error = stats.failed ? stats.error : stats.quarantine_reason;
+    return out;
+  }
   const auto sep = stats.user_data.find('\x1e');
   if (sep == std::string::npos) return out;
   out.row = split(stats.user_data.substr(0, sep), '\t');

@@ -2,8 +2,8 @@
 //
 // The server cannot receive closures over a socket, so every job a client
 // may SUBMIT is a named *kind* plus a ParamMap; this header holds the
-// concrete bodies behind those kinds. fault_sweep and dse_explorer call the
-// same run_* functions directly in local mode, which is what makes a
+// concrete bodies behind those kinds. fault_sweep and dse_explorer build
+// their local jobs from the same builtin_kinds(), which is what makes a
 // --server run's report byte-identical (modulo wall clock) to a local one:
 // both paths execute this file, not parallel re-implementations.
 //

@@ -1,9 +1,5 @@
 #include "service/protocol.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdlib>
 
 #include "campaign/journal.hpp"
@@ -357,25 +353,6 @@ ResponseEvent to_response(const WireLine& line) {
   }
   ev.response = std::move(resp);
   return ev;
-}
-
-bool write_all(int fd, const std::string& data) {
-  usize off = 0;
-  while (off < data.size()) {
-    // MSG_NOSIGNAL: a peer that vanished mid-stream must surface as a
-    // failed write, not a process-killing SIGPIPE. Plain write() is the
-    // fallback for non-socket fds (tests feed pipes through this).
-    ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK)
-      n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<usize>(n);
-  }
-  return true;
 }
 
 }  // namespace adriatic::service

@@ -209,11 +209,4 @@ struct ResponseEvent {
 
 [[nodiscard]] ResponseEvent to_response(const WireLine& line);
 
-// -- Socket helper -----------------------------------------------------------
-
-/// write() the whole buffer, retrying on EINTR/short writes. One call per
-/// frame (under the connection's write lock) keeps frames atomic on the
-/// wire. Returns false on a hard error (EPIPE, closed fd).
-bool write_all(int fd, const std::string& data);
-
 }  // namespace adriatic::service

@@ -23,9 +23,8 @@ namespace {
 constexpr std::chrono::seconds kDeliveryGrace{5};
 }  // namespace
 
-CampaignServer::CampaignServer(ServerOptions opt) : opt_(std::move(opt)) {
-  kinds_ = builtin_kinds();
-}
+CampaignServer::CampaignServer(ServerOptions opt)
+    : opt_(std::move(opt)), session_(opt_) {}
 
 CampaignServer::~CampaignServer() {
   if (running_.load() || !stopped_.load()) stop();
@@ -33,13 +32,7 @@ CampaignServer::~CampaignServer() {
 
 void CampaignServer::register_kind(const std::string& name,
                                    JobBuilder builder) {
-  for (auto& [existing, b] : kinds_) {
-    if (existing == name) {
-      b = std::move(builder);
-      return;
-    }
-  }
-  kinds_.emplace_back(name, std::move(builder));
+  session_.register_kind(name, std::move(builder));
 }
 
 bool CampaignServer::start() {
@@ -48,57 +41,10 @@ bool CampaignServer::start() {
     log::error() << "campaignd: no socket path configured";
     return false;
   }
-
-  // Journal: resume pre-populates the session dedup map from the journal's
-  // completed records, so a restarted server keeps serving the finished
-  // prefix without re-simulating even with no result cache attached.
-  if (!opt_.journal_path.empty()) {
-    if (opt_.resume) {
-      const auto state = campaign::read_journal(opt_.journal_path);
-      if (!state.has_value()) {
-        log::error() << "campaignd: cannot read journal '" << opt_.journal_path
-                     << "'";
-        return false;
-      }
-      for (const auto& [idx, planned] : state->planned)
-        if (idx >= next_index_) next_index_ = idx + 1;
-      for (const auto& [idx, stats] : state->completed) {
-        const auto it = state->planned.find(idx);
-        if (it != state->planned.end())
-          finished_by_spec_[it->second.spec] = stats;
-      }
-      journal_ = campaign::CampaignJournal::append_to(opt_.journal_path);
-    } else {
-      journal_ = campaign::CampaignJournal::create(opt_.journal_path,
-                                                   opt_.campaign_name);
-    }
-    if (journal_ == nullptr) {
-      log::error() << "campaignd: cannot open journal '" << opt_.journal_path
-                   << "'";
-      return false;
-    }
+  if (const std::string error = session_.start(); !error.empty()) {
+    log::error() << "campaignd: " << error;
+    return false;
   }
-
-  if (!opt_.cache_path.empty()) {
-    cache_ = campaign::ResultCache::open(opt_.cache_path);
-    if (cache_ == nullptr) {
-      log::error() << "campaignd: cannot open cache '" << opt_.cache_path
-                   << "'";
-      return false;
-    }
-  }
-
-  runner_ = std::make_unique<campaign::CampaignRunner>(
-      opt_.threads != 0 ? opt_.threads : campaign::default_thread_count(),
-      opt_.processes ? campaign::ExecutionMode::kProcesses
-                     : campaign::ExecutionMode::kThreads);
-  // The hook is the streaming point: it fires after the record commit
-  // (futures resolve before it), on the worker thread, outside the runner's
-  // locks — exactly what a push to a socket needs.
-  runner_->set_completion_hook(
-      [this](const JobStats& stats) { on_job_complete(stats); });
-  runner_->enable_signal_stop();
-  if (journal_ != nullptr) runner_->set_journal(journal_.get());
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -140,10 +86,7 @@ void CampaignServer::accept_loop() {
     if (fd < 0) continue;
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++counters_.connections;
-    }
+    ++connections_;
     {
       std::lock_guard<std::mutex> lk(cmu_);
       conns_.push_back(conn);
@@ -217,21 +160,12 @@ void CampaignServer::handle_request(const std::shared_ptr<Connection>& conn,
       send_frame(conn, encode_ok(req.id, 0, false));
       return;
     case Verb::kStats: {
-      ServerCounters c;
-      usize threads = 0;
-      bool processes = false;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        c = counters_;
-      }
-      if (runner_ != nullptr) {
-        threads = runner_->thread_count();
-        processes = runner_->mode() == campaign::ExecutionMode::kProcesses;
-      }
+      const ServerCounters c = counters();
       std::vector<std::pair<std::string, std::string>> fields;
       fields.emplace_back("campaign", opt_.campaign_name);
-      fields.emplace_back("threads", std::to_string(threads));
-      fields.emplace_back("mode", processes ? "processes" : "threads");
+      fields.emplace_back("threads", std::to_string(session_.thread_count()));
+      fields.emplace_back("mode",
+                          session_.processes() ? "processes" : "threads");
       fields.emplace_back("connections", std::to_string(c.connections));
       fields.emplace_back("requests", std::to_string(c.requests));
       fields.emplace_back("dedup_hits", std::to_string(c.dedup_hits));
@@ -241,155 +175,49 @@ void CampaignServer::handle_request(const std::shared_ptr<Connection>& conn,
       send_frame(conn, encode_stats_reply(req.id, fields));
       return;
     }
-    case Verb::kDrain: {
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_drain_.wait(
-            lk, [this] { return all_delivered() || shutting_down_.load(); });
-      }
+    case Verb::kDrain:
+      session_.drain();
       send_frame(conn, encode_drained(req.id));
       return;
-    }
   }
 }
 
 void CampaignServer::handle_submit(const std::shared_ptr<Connection>& conn,
                                    const Request& req) {
-  if (shutting_down_.load()) {
-    send_error(conn, req.id, ErrorCode::kShutdown,
-               "server is stopping; job not accepted");
-    return;
-  }
-  const JobBuilder* builder = nullptr;
-  for (const auto& [name, b] : kinds_) {
-    if (name == req.kind) {
-      builder = &b;
-      break;
-    }
-  }
-  if (builder == nullptr) {
-    send_error(conn, req.id, ErrorCode::kUnknownKind,
-               "no job builder registered for kind '" + req.kind + "'");
-    return;
-  }
-  auto body = (*builder)(req.label, decode_params(req.params));
-  if (!body.has_value()) {
-    send_error(conn, req.id, ErrorCode::kBadRequest,
-               "invalid params for kind '" + req.kind + "'");
-    return;
-  }
+  SessionJob job;
+  job.job = {0, req.spec, req.kind, req.label, decode_params(req.params)};
+  job.opt.max_attempts = opt_.max_attempts;
+  job.opt.wall_timeout_seconds = opt_.wall_timeout_seconds;
+  job.opt.heartbeat_timeout_seconds = opt_.heartbeat_timeout_seconds;
 
   // OK must reach the client before any RESULT for the same request. The
   // completion hook pushes RESULTs under this connection's write lock, so
   // holding it from the dedup decision until OK is written keeps an attached
   // job that finishes meanwhile from overtaking the OK; a fresh job is
   // handed to the runner only once its OK is out. (Lock order: write_mu
-  // before mu_; nothing takes write_mu while holding mu_.)
+  // before the session lock; nothing takes write_mu while holding it.)
   std::unique_lock<std::mutex> wlk(conn->write_mu);
-  std::optional<JobStats> served;
-  usize index = 0;
-  bool fresh = false;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (shutting_down_.load()) {
-      lk.unlock();
-      wlk.unlock();
-      send_error(conn, req.id, ErrorCode::kShutdown,
-                 "server is stopping; job not accepted");
-      return;
-    }
-    ++counters_.requests;
-    // Dedup before any simulation: session-finished results first, then the
-    // cross-run cache, then attach to an identical in-flight job.
-    const auto fin = finished_by_spec_.find(req.spec);
-    if (fin != finished_by_spec_.end()) {
-      served = fin->second;
-    } else if (cache_ != nullptr) {
-      served = cache_->lookup(req.spec);
-    }
-    if (served.has_value()) {
-      index = next_index_++;
-      served->index = index;
-      served->label = req.label;
-      served->from_cache = true;
-      ++counters_.dedup_hits;
-      if (journal_ != nullptr) journal_->record_cache_hit(req.spec);
-    } else if (const auto inflight = pending_by_spec_.find(req.spec);
-               inflight != pending_by_spec_.end()) {
-      // Same spec already simulating: subscribe this client to that job's
-      // completion rather than running it twice.
-      index = inflight->second;
-      pending_[index].subscribers.push_back({conn, req.id});
-      ++counters_.dedup_hits;
-      if (journal_ != nullptr) journal_->record_cache_hit(req.spec);
-    } else {
-      fresh = true;
-      index = next_index_++;
-      pending_[index] = PendingJob{req.spec, req.label, {{conn, req.id}}};
-      pending_by_spec_[req.spec] = index;
-      if (journal_ != nullptr)
-        journal_->record_planned(index, req.spec, req.label);
-    }
-  }
-
-  write_frame_locked(*conn,
-                     encode_ok(req.id, static_cast<u64>(index), !fresh));
-  if (served.has_value()) {
-    // Cache hit: RESULT right behind the OK, no worker involved.
-    write_frame_locked(*conn, encode_result(req.id, req.spec, *served));
+  auto adm = session_.admit(
+      job, [this, conn, id = req.id](u64 spec, const JobStats& stats) {
+        send_frame(conn, encode_result(id, spec, stats));
+        broadcast_result(spec, stats, conn.get());
+      });
+  if (adm.error.has_value()) {
     wlk.unlock();
-    broadcast_result(req.spec, *served, conn.get());
+    send_error(conn, req.id, *adm.error, adm.detail);
+    return;
+  }
+  write_frame_locked(
+      *conn, encode_ok(req.id, static_cast<u64>(adm.index), !adm.fresh));
+  if (adm.served.has_value()) {
+    // Finished or cached: RESULT right behind the OK, no worker involved.
+    write_frame_locked(*conn, encode_result(req.id, req.spec, *adm.served));
+    wlk.unlock();
+    broadcast_result(req.spec, *adm.served, conn.get());
     return;
   }
   wlk.unlock();
-  if (fresh) {
-    campaign::JobOptions o;
-    o.stats_index = index;
-    o.spec = req.spec;
-    o.max_attempts = opt_.max_attempts;
-    o.wall_timeout_seconds = opt_.wall_timeout_seconds;
-    o.heartbeat_timeout_seconds = opt_.heartbeat_timeout_seconds;
-    // The future is deliberately dropped: failures come back through the
-    // committed JobStats (failed/quarantined) and stream out via the
-    // completion hook like any other result.
-    (void)runner_->submit(req.label, o,
-                          [body = std::move(*body)](campaign::JobContext& ctx) {
-                            body(ctx);
-                          });
-  }
-}
-
-void CampaignServer::on_job_complete(const JobStats& stats) {
-  std::vector<Subscriber> subs;
-  u64 spec = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = pending_.find(stats.index);
-    if (it != pending_.end()) {
-      spec = it->second.spec;
-      subs = std::move(it->second.subscribers);
-      pending_by_spec_.erase(it->second.spec);
-      pending_.erase(it);
-    }
-    if (stats.done && !stats.failed) {
-      ++counters_.jobs_done;
-      finished_by_spec_[spec] = stats;
-    } else {
-      ++counters_.jobs_failed;
-    }
-    // store() itself refuses unfinished/failed/quarantined records.
-    if (cache_ != nullptr) cache_->store(spec, stats);
-    ++delivering_;
-  }
-  const Connection* first = nullptr;
-  for (const auto& sub : subs) {
-    send_frame(sub.conn, encode_result(sub.request_id, spec, stats));
-    if (first == nullptr) first = sub.conn.get();
-  }
-  broadcast_result(spec, stats, first);
-  std::lock_guard<std::mutex> lk(mu_);
-  --delivering_;
-  if (all_delivered()) cv_drain_.notify_all();
+  if (adm.fresh) session_.launch(adm);
 }
 
 void CampaignServer::send_frame(const std::shared_ptr<Connection>& conn,
@@ -401,16 +229,13 @@ void CampaignServer::send_frame(const std::shared_ptr<Connection>& conn,
 void CampaignServer::write_frame_locked(Connection& conn,
                                         const std::string& frame) {
   if (!conn.open.load() || conn.fd < 0) return;
-  if (!write_all(conn.fd, frame)) conn.open.store(false);
+  if (!campaign::write_all(conn.fd, frame)) conn.open.store(false);
 }
 
 void CampaignServer::send_error(const std::shared_ptr<Connection>& conn,
                                 u64 id, ErrorCode code,
                                 const std::string& detail) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++counters_.errors;
-  }
+  ++errors_;
   send_frame(conn, encode_error(id, code, detail));
 }
 
@@ -431,27 +256,14 @@ void CampaignServer::broadcast_result(u64 spec, const JobStats& stats,
 
 void CampaignServer::stop() {
   if (stopped_.exchange(true)) return;
-  shutting_down_.store(true);
-  {
-    // Barrier: any SUBMIT that saw shutting_down_ == false has finished its
-    // dedup/enqueue critical section once we pass this lock.
-    std::lock_guard<std::mutex> lk(mu_);
-    cv_drain_.notify_all();
-  }
+  // Once close() returns, any SUBMIT still in admit() is refused and every
+  // admitted one is in the session's books.
+  session_.close();
   running_.store(false);
   if (accept_thread_.joinable()) accept_thread_.join();
   // Drain while connections are still up, so in-flight results (including
   // signal-stop "interrupted" quarantines) stream out to their clients.
-  // wait_idle() returns once the last record is committed, which is before
-  // the completion hook has written its RESULT frames, so wait for those
-  // too. The wait is bounded: a client that stopped reading can block a
-  // write until its connection is shut down below.
-  if (runner_ != nullptr) runner_->wait_idle();
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_drain_.wait_for(lk, kDeliveryGrace, [this] { return all_delivered(); });
-  }
-  if (journal_ != nullptr) journal_->flush();
+  session_.drain_for(kDeliveryGrace);
   {
     std::lock_guard<std::mutex> lk(cmu_);
     for (const auto& conn : conns_) {
@@ -466,16 +278,14 @@ void CampaignServer::stop() {
   }
   for (const auto& conn : conns)
     if (conn->reader.joinable()) conn->reader.join();
-  // A reader may have raced one last SUBMIT past the first drain; with all
-  // readers joined this second pass is definitive.
-  if (runner_ != nullptr) runner_->wait_idle();
+  // A reader may have launched one last admitted job past the drain; with
+  // all readers joined the session's own stop is definitive.
+  session_.stop();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
   ::unlink(opt_.socket_path.c_str());
-  runner_.reset();
-  if (journal_ != nullptr) journal_->flush();
 }
 
 int CampaignServer::serve() {
@@ -499,8 +309,11 @@ void CampaignServer::request_shutdown() {
 }
 
 ServerCounters CampaignServer::counters() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return counters_;
+  ServerCounters c;
+  static_cast<SessionCounters&>(c) = session_.counters();
+  c.connections = connections_.load();
+  c.errors = errors_.load();
+  return c;
 }
 
 }  // namespace adriatic::service

@@ -1,13 +1,14 @@
 // campaignd: a single-daemon campaign server on a Unix-domain socket.
 //
-// One process owns the CampaignRunner, the write-ahead journal and the
-// digest-keyed result cache; any number of clients connect, SUBMIT job specs
-// (kind + ParamMap, see service/jobs.hpp) and stream back per-job RESULT
-// frames as workers finish them. Deduplication happens server-side before
-// any simulation: a spec already in the result cache — or already finished
-// this session, or currently in flight — is served without touching a
-// worker, so N clients sweeping the same grid cost one simulation per
-// point.
+// The server is a socket front end over one Session (service/session.hpp),
+// which owns the CampaignRunner, the write-ahead journal and the
+// digest-keyed result cache; any number of clients connect, SUBMIT job
+// specs (kind + ParamMap, see service/jobs.hpp) and stream back per-job
+// RESULT frames as workers finish them. Deduplication happens in the
+// session before any simulation: a spec already finished this session (or
+// in a resumed journal), in the result cache, or currently in flight is
+// served without touching a worker, so N clients sweeping the same grid
+// cost one simulation per point.
 //
 // Concurrency model: one accept thread, one reader thread per connection,
 // results pushed from the runner's completion hook (worker threads). Every
@@ -24,7 +25,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -32,39 +32,26 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/campaign.hpp"
-#include "campaign/journal.hpp"
-#include "campaign/result_cache.hpp"
 #include "service/jobs.hpp"
 #include "service/protocol.hpp"
+#include "service/session.hpp"
 
 namespace adriatic::service {
 
-struct ServerOptions {
+/// The session's options (threads, processes, campaign_name, journal_path,
+/// resume, cache_path) plus the socket and the per-job robustness knobs.
+struct ServerOptions : SessionOptions {
   std::string socket_path;
-  /// Worker threads; 0 = campaign::default_thread_count().
-  usize threads = 0;
-  /// Fork one child per job attempt (crash containment); degrades to
-  /// threads where fork is unusable, like the sweep tools.
-  bool processes = false;
-  /// Campaign name written into the journal header and STATS replies.
-  std::string campaign_name = "campaignd";
-  std::string journal_path;  ///< Empty = no journal.
-  bool resume = false;       ///< Append to an existing journal.
-  std::string cache_path;    ///< Empty = no cross-run result cache.
   /// Per-job robustness knobs, applied to every SUBMIT.
   u32 max_attempts = 2;
   double wall_timeout_seconds = 60.0;
   double heartbeat_timeout_seconds = 10.0;
 };
 
-/// Monotonic server counters, surfaced by STATS frames and counters().
-struct ServerCounters {
+/// Monotonic server counters, surfaced by STATS frames and counters(): the
+/// session's (requests = SUBMITs accepted) plus the socket's own.
+struct ServerCounters : SessionCounters {
   u64 connections = 0;  ///< Connections accepted over the lifetime.
-  u64 requests = 0;     ///< SUBMITs accepted (dedup-served ones included).
-  u64 dedup_hits = 0;   ///< SUBMITs served without a fresh simulation.
-  u64 jobs_done = 0;    ///< Fresh jobs that committed a done record.
-  u64 jobs_failed = 0;  ///< Fresh jobs that failed or quarantined.
   u64 errors = 0;       ///< ERROR frames sent.
 };
 
@@ -80,8 +67,8 @@ class CampaignServer {
   /// registrations of the same name win.
   void register_kind(const std::string& name, JobBuilder builder);
 
-  /// Binds the socket, spins up the runner and the accept thread. False
-  /// (with a log line) on bind/journal/cache errors.
+  /// Starts the session, binds the socket and spins up the accept thread.
+  /// False (with a log line) on bind/journal/cache errors.
   [[nodiscard]] bool start();
 
   /// Graceful stop: refuse new SUBMITs, drain the runner (in-flight jobs
@@ -113,30 +100,12 @@ class CampaignServer {
     std::atomic<bool> open{true};
   };
 
-  /// Who to notify when job `index` commits.
-  struct Subscriber {
-    std::shared_ptr<Connection> conn;
-    u64 request_id = 0;
-  };
-  struct PendingJob {
-    u64 spec = 0;
-    std::string label;
-    std::vector<Subscriber> subscribers;
-  };
-
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void handle_request(const std::shared_ptr<Connection>& conn,
                       const Request& req);
   void handle_submit(const std::shared_ptr<Connection>& conn,
                      const Request& req);
-  /// Runner completion hook (worker thread): cache the record, stream
-  /// RESULT frames to the submitters and watchers, retire the pending slot.
-  void on_job_complete(const campaign::JobStats& stats);
-  /// Every accepted job's RESULT frames written (mu_ held).
-  [[nodiscard]] bool all_delivered() const {
-    return pending_.empty() && delivering_ == 0;
-  }
   /// Sends one frame under the connection's write lock; a failed write
   /// marks the connection closed (the reader notices on its next read).
   void send_frame(const std::shared_ptr<Connection>& conn,
@@ -145,34 +114,20 @@ class CampaignServer {
   static void write_frame_locked(Connection& conn, const std::string& frame);
   void send_error(const std::shared_ptr<Connection>& conn, u64 id,
                   ErrorCode code, const std::string& detail);
-  /// RESULT to every WATCHing connection (submitters excluded — they get
-  /// their own frame keyed by their request id).
+  /// RESULT to every WATCHing connection but `except`, the one the result
+  /// answers (it gets its own frame keyed by its request id).
   void broadcast_result(u64 spec, const campaign::JobStats& stats,
                         const Connection* except);
 
   ServerOptions opt_;
-  std::vector<std::pair<std::string, JobBuilder>> kinds_;
+  Session session_;
 
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> shutting_down_{false};
   std::atomic<bool> stopped_{false};
-
-  std::unique_ptr<campaign::CampaignJournal> journal_;
-  std::unique_ptr<campaign::ResultCache> cache_;
-  std::unique_ptr<campaign::CampaignRunner> runner_;
-
-  mutable std::mutex mu_;  ///< Guards jobs state + counters.
-  std::condition_variable cv_drain_;
-  usize next_index_ = 0;
-  std::map<usize, PendingJob> pending_;      ///< In-flight, by index.
-  std::map<u64, usize> pending_by_spec_;     ///< Spec -> in-flight index.
-  /// Completions taken out of pending_ whose RESULT frames are still being
-  /// written; DRAIN and stop() wait for these too.
-  usize delivering_ = 0;
-  std::map<u64, campaign::JobStats> finished_by_spec_;  ///< Session dedup.
-  ServerCounters counters_;
+  std::atomic<u64> connections_{0};
+  std::atomic<u64> errors_{0};
 
   std::mutex cmu_;  ///< Guards conns_.
   std::vector<std::shared_ptr<Connection>> conns_;

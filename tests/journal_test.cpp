@@ -269,6 +269,16 @@ TEST(JournalTest, SpecHashCoversLabelAndParams) {
   EXPECT_NE(spec_hash("a"), spec_hash("a", 1));
 }
 
+/// Appends an intact `C <spec>` cache-hit line, the record journals carried
+/// before it was dropped; read_journal() must keep loading such journals.
+void append_legacy_cache_hit(const std::string& path, u64 spec) {
+  char content[32];
+  std::snprintf(content, sizeof(content), "C %016llx",
+                static_cast<unsigned long long>(spec));
+  std::ofstream out(path, std::ios::app);
+  out << content << checksum_suffix(content) << '\n';
+}
+
 TEST(JournalTest, WorkerDeathAndCacheHitLinesRoundTrip) {
   TempPath tmp("xc");
   {
@@ -277,9 +287,9 @@ TEST(JournalTest, WorkerDeathAndCacheHitLinesRoundTrip) {
     j->record_planned(0, spec_hash("a"), "a");
     j->record_worker_death(0, "signal:SIGSEGV");
     j->record_worker_death(3, "exit code 42 (oom)");  // space-encoding path
-    j->record_cache_hit(spec_hash("a"));
-    j->record_cache_hit(0x0123456789abcdefull);
   }
+  append_legacy_cache_hit(tmp.str(), spec_hash("a"));
+  append_legacy_cache_hit(tmp.str(), 0x0123456789abcdefull);
   const auto state = read_journal(tmp.str());
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(state->torn_lines, 0u);
@@ -288,9 +298,9 @@ TEST(JournalTest, WorkerDeathAndCacheHitLinesRoundTrip) {
   EXPECT_EQ(state->worker_deaths[0].reason, "signal:SIGSEGV");
   EXPECT_EQ(state->worker_deaths[1].index, 3u);
   EXPECT_EQ(state->worker_deaths[1].reason, "exit code 42 (oom)");
-  ASSERT_EQ(state->cache_hits.size(), 2u);
-  EXPECT_EQ(state->cache_hits[0], spec_hash("a"));
-  EXPECT_EQ(state->cache_hits[1], 0x0123456789abcdefull);
+  // Intact legacy C lines are skipped, not misread as anything else.
+  EXPECT_EQ(state->planned.size(), 1u);
+  EXPECT_TRUE(state->completed.empty());
 }
 
 TEST(JournalTest, TornWorkerDeathAndCacheLinesAreDroppedNotFatal) {
@@ -299,8 +309,8 @@ TEST(JournalTest, TornWorkerDeathAndCacheLinesAreDroppedNotFatal) {
     auto j = CampaignJournal::create(tmp.str(), "unit_sweep");
     ASSERT_NE(j, nullptr);
     j->record_worker_death(0, "timeout");
-    j->record_cache_hit(7);
   }
+  append_legacy_cache_hit(tmp.str(), 7);
   {
     // SIGKILL mid-append: an X and a C record cut off before their
     // checksums must drop without losing the intact records above them.
@@ -313,8 +323,36 @@ TEST(JournalTest, TornWorkerDeathAndCacheLinesAreDroppedNotFatal) {
   EXPECT_EQ(state->torn_lines, 2u);
   ASSERT_EQ(state->worker_deaths.size(), 1u);
   EXPECT_EQ(state->worker_deaths[0].reason, "timeout");
-  ASSERT_EQ(state->cache_hits.size(), 1u);
-  EXPECT_EQ(state->cache_hits[0], 7u);
+}
+
+TEST(JournalTest, OldJournalWithCacheHitLinesStillResumes) {
+  // A journal as the cache-hit-recording format wrote it: C lines between
+  // the P and D records. Everything a resume needs still loads.
+  TempPath tmp("legacy");
+  {
+    auto j = CampaignJournal::create(tmp.str(), "unit_sweep");
+    ASSERT_NE(j, nullptr);
+    j->record_planned(0, spec_hash("a"), "a");
+    j->record_planned(1, spec_hash("b"), "b");
+  }
+  append_legacy_cache_hit(tmp.str(), spec_hash("b"));
+  {
+    auto j = CampaignJournal::append_to(tmp.str());
+    ASSERT_NE(j, nullptr);
+    j->record_begun(0, 1);
+    j->record_done(sample_stats(0));
+  }
+  append_legacy_cache_hit(tmp.str(), spec_hash("a"));
+  const auto state = read_journal(tmp.str());
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->campaign, "unit_sweep");
+  EXPECT_EQ(state->torn_lines, 0u);
+  ASSERT_EQ(state->planned.size(), 2u);
+  EXPECT_EQ(state->planned.at(1).spec, spec_hash("b"));
+  EXPECT_EQ(state->begun_records, 1u);
+  ASSERT_EQ(state->completed.size(), 1u);
+  EXPECT_EQ(encode_job_stats(state->completed.at(0)),
+            encode_job_stats(sample_stats(0)));
 }
 
 TEST(JournalTest, RunnerJournalsEveryJobLifecycle) {

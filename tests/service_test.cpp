@@ -12,7 +12,10 @@
 //    only after every RESULT;
 //  * SIGTERM mid-sweep: serve() returns 130, finished jobs are journaled
 //    done, interrupted ones quarantined, and a resumed server serves the
-//    finished prefix from its journal/cache without re-simulating.
+//    finished prefix from its journal/cache without re-simulating;
+//  * the in-process session the sweep tools run: the same job list gives
+//    the server's records, a journaled sweep stopped and resumed twice
+//    ends equal to an uninterrupted one, and a foreign journal is refused.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -28,10 +31,12 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/result_cache.hpp"
 #include "service/client.hpp"
 #include "service/jobs.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/session.hpp"
 
 namespace adriatic {
 namespace {
@@ -136,6 +141,39 @@ TEST(ServiceTest, ResultsByteIdenticalToInlineAndWarmRepeatsDedup) {
   EXPECT_EQ(c.jobs_done, seeds.size());
   EXPECT_EQ(c.jobs_failed, 0u);
   EXPECT_GE(c.connections, 2u);
+
+  // Local == server: one fault_point job list, over the socket and through
+  // an in-process session (what fault_sweep runs without --server). Only
+  // the process-wide memory high-water may differ between the two runs.
+  std::vector<service::ServiceJob> points;
+  for (u32 i = 0; i < 3; ++i) {
+    service::FaultPointSpec spec;
+    spec.label = "fault" + std::to_string(i);
+    spec.policy = i;
+    spec.rate_pct = 5 * i;
+    spec.plan_seed = 7000 + i;
+    spec.prefetch = i == 1;
+    points.push_back({i, service::fault_point_spec_hash(spec), "fault_point",
+                      spec.label, service::fault_point_params(spec)});
+  }
+  std::vector<service::SessionJob> local_points;
+  for (const auto& job : points) local_points.push_back({job, {}, {}});
+  const auto remote = service::run_jobs_over_service(opt.socket_path, points);
+  service::SessionOptions local_opt;
+  local_opt.threads = 2;
+  const auto local = service::run_sweep(local_opt, local_points);
+  ASSERT_TRUE(remote.ok) << remote.error;
+  ASSERT_TRUE(local.ok) << local.error;
+  ASSERT_EQ(local.stats.size(), points.size());
+  EXPECT_EQ(local.totals.dedup_hits, 0u);
+  for (usize i = 0; i < points.size(); ++i) {
+    campaign::JobStats r = remote.stats.at(i);
+    campaign::JobStats l = local.stats.at(i);
+    EXPECT_TRUE(l.done) << l.label;
+    EXPECT_TRUE(l.has_faults) << l.label;
+    r.mem_resident_peak_bytes = l.mem_resident_peak_bytes = 0;
+    EXPECT_EQ(normalized(l), normalized(r)) << points[i].label;
+  }
 }
 
 TEST(ServiceTest, ConcurrentClientsAndWatcherSeeCleanFrames) {
@@ -392,6 +430,167 @@ TEST(ServiceTest, SigtermJournalsInterruptedAndResumeServesFinishedPrefix) {
 
   live.server.stop();
   ::unlink(journal_path.c_str());
+  ::unlink(cache_path.c_str());
+}
+
+/// Golden jobs as a planned session sweep, built from the "golden" kind.
+std::vector<service::SessionJob> golden_sweep(const std::vector<u64>& seeds,
+                                              u32 throttle_ms) {
+  std::vector<service::SessionJob> jobs;
+  for (const auto& job : golden_jobs(seeds, throttle_ms))
+    jobs.push_back({job, {}, {}});
+  return jobs;
+}
+
+/// Done records in the journal at `path` (0 while it cannot be read).
+usize journaled_done(const std::string& path) {
+  const auto state = campaign::read_journal(path);
+  return state.has_value() ? state->completed.size() : 0;
+}
+
+/// Runs `jobs` through a session and raises SIGTERM once its journal holds
+/// `stop_after` more done records.
+service::ServiceRunResult run_and_stop(
+    const service::SessionOptions& opt,
+    const std::vector<service::SessionJob>& jobs, usize stop_after) {
+  campaign::clear_signal_stop();
+  const usize target =
+      (opt.resume ? journaled_done(opt.journal_path) : 0) + stop_after;
+  service::ServiceRunResult run;
+  std::thread sweep([&] { run = service::run_sweep(opt, jobs); });
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (journaled_done(opt.journal_path) < target &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(2ms);
+  ::raise(SIGTERM);
+  sweep.join();
+  campaign::clear_signal_stop();
+  return run;
+}
+
+TEST(SessionTest, SweepStoppedAndResumedTwiceMatchesUninterruptedRun) {
+  const std::vector<u64> seeds = {31, 32, 33, 34, 35, 36, 37, 38};
+  const std::string journal_path = temp_path("sess", ".journal");
+  const std::string cache_path = temp_path("sess", ".cache");
+  campaign::install_stop_signal_handlers();
+
+  service::SessionOptions plain;
+  plain.threads = 1;  // one job at a time, so a stop lands mid-sweep
+  plain.campaign_name = "session-resume";
+  const auto reference = service::run_sweep(plain, golden_sweep(seeds, 0));
+  ASSERT_TRUE(reference.ok) << reference.error;
+  ASSERT_EQ(reference.stats.size(), seeds.size());
+
+  // Throttled copies of the same jobs (the throttle is not part of the
+  // spec) widen the window for each stop.
+  const auto jobs = golden_sweep(seeds, 60);
+  service::SessionOptions opt = plain;
+  opt.journal_path = journal_path;
+  opt.cache_path = cache_path;
+  const auto first = run_and_stop(opt, jobs, 2);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(first.interrupted);
+  EXPECT_EQ(first.restored, 0u);
+
+  opt.resume = true;
+  const auto second = run_and_stop(opt, jobs, 2);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.interrupted);
+  EXPECT_GE(second.restored, 2u);
+
+  const auto last = service::run_sweep(opt, jobs);
+  ASSERT_TRUE(last.ok) << last.error;
+  EXPECT_FALSE(last.interrupted);
+  EXPECT_GE(last.restored, 4u);
+  EXPECT_LT(last.restored, seeds.size());
+  // The cache held every journaled result too, but the journal's own
+  // records come back first and are restores, not dedup hits.
+  EXPECT_EQ(last.totals.dedup_hits, 0u);
+  ASSERT_EQ(last.stats.size(), seeds.size());
+  for (usize i = 0; i < seeds.size(); ++i) {
+    const campaign::JobStats& got = last.stats.at(i);
+    EXPECT_TRUE(got.done) << got.label;
+    EXPECT_FALSE(got.from_cache) << got.label;
+    EXPECT_EQ(normalized(got), normalized(reference.stats.at(i))) << got.label;
+  }
+  EXPECT_EQ(journaled_done(journal_path), seeds.size());
+
+  // A fresh journal over the same cache: every job is cache-served.
+  service::SessionOptions warm = plain;
+  warm.journal_path = journal_path;
+  warm.cache_path = cache_path;
+  const auto cached = service::run_sweep(warm, jobs);
+  ASSERT_TRUE(cached.ok) << cached.error;
+  EXPECT_EQ(cached.totals.dedup_hits, seeds.size());
+  EXPECT_EQ(cached.restored, 0u);
+  for (usize i = 0; i < seeds.size(); ++i) {
+    EXPECT_TRUE(cached.stats.at(i).from_cache);
+    EXPECT_EQ(normalized(cached.stats.at(i)),
+              normalized(reference.stats.at(i)));
+  }
+
+  ::unlink(journal_path.c_str());
+  ::unlink(cache_path.c_str());
+}
+
+TEST(SessionTest, ResumeRefusesAForeignJournal) {
+  const std::string journal_path = temp_path("sess_foreign", ".journal");
+  service::SessionOptions opt;
+  opt.threads = 1;
+  opt.campaign_name = "owner";
+  opt.journal_path = journal_path;
+  ASSERT_TRUE(service::run_sweep(opt, golden_sweep({1, 2}, 0)).ok);
+
+  opt.resume = true;
+  service::SessionOptions other_campaign = opt;
+  other_campaign.campaign_name = "intruder";
+  const auto wrong_name =
+      service::run_sweep(other_campaign, golden_sweep({1, 2}, 0));
+  EXPECT_FALSE(wrong_name.ok);
+  EXPECT_TRUE(wrong_name.stats.empty());
+  EXPECT_NE(wrong_name.error.find("belongs to campaign 'owner'"),
+            std::string::npos)
+      << wrong_name.error;
+
+  const auto wrong_specs =
+      service::run_sweep(opt, golden_sweep({1, 3}, 0));
+  EXPECT_FALSE(wrong_specs.ok);
+  EXPECT_TRUE(wrong_specs.stats.empty());
+  EXPECT_NE(wrong_specs.error.find("journal job 1 does not match"),
+            std::string::npos)
+      << wrong_specs.error;
+
+  // The journal's own sweep still resumes, restoring every job.
+  const auto same = service::run_sweep(opt, golden_sweep({1, 2}, 0));
+  ASSERT_TRUE(same.ok) << same.error;
+  EXPECT_EQ(same.restored, 2u);
+  ::unlink(journal_path.c_str());
+}
+
+TEST(SessionTest, ToolLocalJobsNeverTakeOrFeedADedupTier) {
+  const std::string cache_path = temp_path("sess_local", ".cache");
+  std::atomic<int> runs{0};
+  std::vector<service::SessionJob> jobs;
+  for (usize i = 0; i < 2; ++i) {
+    // Same spec twice: neither may be served from the other.
+    service::SessionJob job;
+    job.job = {i, campaign::spec_hash("local"), "", "local", {}};
+    job.body = [&runs](campaign::JobContext&) { ++runs; };
+    jobs.push_back(std::move(job));
+  }
+  service::SessionOptions opt;
+  opt.threads = 1;
+  opt.cache_path = cache_path;
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto run = service::run_sweep(opt, jobs);
+    ASSERT_TRUE(run.ok) << run.error;
+    EXPECT_EQ(run.totals.dedup_hits, 0u);
+    for (const auto& [index, stats] : run.stats) EXPECT_TRUE(stats.done);
+  }
+  EXPECT_EQ(runs.load(), 4);
+  const auto cache = campaign::ResultCache::open(cache_path);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->size(), 0u);
   ::unlink(cache_path.c_str());
 }
 
